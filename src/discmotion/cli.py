@@ -18,7 +18,7 @@ from .errors import (ConstructionFailure, DiscMotionError,
                      OptimalityCheckFailure)
 from .geom import Instance, Placement, Point, dist
 from .motion import (Arc, JointItem, Motion, Phase, Segment, Trajectory,
-                     couple, sample)
+                     _is_straight, couple, sample)
 from .oracle import GridSpec, certify, pivot_grid_search
 from .planner import classify_case, plan
 from .support import optimal_length_bound
@@ -115,17 +115,64 @@ def _schedule_from_doc(items):
     for it in items:
         if not isinstance(it, dict):
             raise SchemaError("schedule entries must be objects")
-        if "robot" in it:
-            if it["robot"] not in ("A", "B"):
-                raise SchemaError("phase robot must be 'A' or 'B'")
-            out.append(Phase(it["robot"], int(it["start"]), int(it["stop"])))
-        else:
-            try:
+        if "robot" in it and it["robot"] not in ("A", "B"):
+            raise SchemaError("phase robot must be 'A' or 'B'")
+        try:
+            if "robot" in it:
+                out.append(Phase(it["robot"], int(it["start"]),
+                                 int(it["stop"])))
+            else:
                 out.append(JointItem(float(it["aFrom"]), float(it["aTo"]),
                                      float(it["bFrom"]), float(it["bTo"])))
-            except KeyError as exc:
-                raise SchemaError(f"malformed schedule item: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed schedule item: {exc}") from exc
     return tuple(out)
+
+
+def _check_motion(m: Motion, inst: Instance) -> None:
+    """Reject a motion whose trajectories do not join the instance's
+    placements, or whose schedule does not cover them in order."""
+    scale = 1.0 + max(abs(c) for p in (inst.a0, inst.b0, inst.a1, inst.b1)
+                      for c in p)
+    for name, tr, p0, p1 in (("A", m.traj_a, inst.a0, inst.a1),
+                             ("B", m.traj_b, inst.b0, inst.b1)):
+        ends = ((tr.primitives[0].start, tr.primitives[-1].end)
+                if tr.primitives else (p0, p0))
+        if max(dist(ends[0], p0), dist(ends[1], p1)) > 1e-8 * scale:
+            raise SchemaError(f"trajectory {name} does not join its start "
+                              f"and goal placements")
+    if len({type(it) for it in m.schedule}) > 1:
+        raise SchemaError("schedule mixes phases and joint items")
+    if not m.is_coupled:
+        nxt = {"A": 0, "B": 0}
+        for ph in m.schedule:
+            if ph.start != nxt[ph.robot] or ph.stop < ph.start:
+                raise SchemaError(f"phase {tuple(ph)} does not continue "
+                                  f"robot {ph.robot}")
+            nxt[ph.robot] = ph.stop
+        if (nxt["A"], nxt["B"]) != (len(m.traj_a.primitives),
+                                    len(m.traj_b.primitives)):
+            raise SchemaError("phases do not end at each robot's last "
+                              "primitive")
+        return
+    len_a, len_b = m.traj_a.length, m.traj_b.length
+    tol_a, tol_b = 1e-9 * (1.0 + len_a), 1e-9 * (1.0 + len_b)
+    tol = 1e-9 * (1.0 + m.length)
+    at_a = at_b = 0.0
+    for it in m.schedule:
+        if (abs(it.a_lo - at_a) > tol_a or abs(it.b_lo - at_b) > tol_b
+                or it.a_hi < it.a_lo or it.b_hi < it.b_lo):
+            raise SchemaError(f"joint item {tuple(it)} does not continue "
+                              f"the schedule")
+        if it.a_hi > it.a_lo and it.b_hi > it.b_lo and not (
+                _is_straight(m.traj_a, it.a_lo, it.a_hi, tol)
+                and _is_straight(m.traj_b, it.b_lo, it.b_hi, tol)):
+            raise SchemaError(f"joint item {tuple(it)} moves a robot along "
+                              f"a path that is not straight")
+        at_a, at_b = it.a_hi, it.b_hi
+    if abs(at_a - len_a) > tol_a or abs(at_b - len_b) > tol_b:
+        raise SchemaError("joint items do not end at both trajectory "
+                          "lengths")
 
 
 def _motion_doc(m: Motion):
@@ -152,8 +199,10 @@ def _motion_from_doc(doc, inst: Instance) -> Motion:
         ta, tb = Trajectory(prims_a), Trajectory(prims_b)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return Motion(ta, tb, _schedule_from_doc(doc["schedule"]),
-                  doc["orientation"], inst.p0, inst.p1)
+    m = Motion(ta, tb, _schedule_from_doc(doc["schedule"]),
+               doc["orientation"], inst.p0, inst.p1)
+    _check_motion(m, inst)
+    return m
 
 
 def _zone_doc(zone):

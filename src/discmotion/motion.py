@@ -3,7 +3,8 @@
 A motion is a pair of per-robot trajectories plus a schedule.  Decoupled
 schedules move one robot per phase; coupled schedules advance both along
 their trajectories simultaneously, and are produced by couple(), which
-straightens every reversal window of the placement-angle profile.
+keeps the trajectories and moves both robots together across every
+reversal window of the placement-angle profile.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import CouplingFailure
 from .geom import (TWO_PI, Frame, Placement, Point, angle_of, cross, dist,
-                   dot, norm, perp, reflect_point, unit_vector)
+                   distance_point_segment, dot, norm, perp, rotate,
+                   unit_vector)
 from .support import placement_angle
 
 
@@ -310,9 +312,9 @@ def min_separation(m: Motion) -> float:
         a_span = it.a_hi - it.a_lo
         b_span = it.b_hi - it.b_lo
         if a_span > 0.0 and b_span > 0.0:
-            # straight joint item: minimum at an endpoint for parallel
-            # same-direction relative vectors
-            best = min(best, dist(p_lo.a, p_lo.b), dist(p_hi.a, p_hi.b))
+            # both paths are straight, so the relative vector is linear
+            best = min(best, distance_point_segment(
+                Point(0.0, 0.0), p_lo.a - p_lo.b, p_hi.a - p_hi.b))
             continue
         if a_span > 0.0:
             static, traj, rng = p_lo.b, m.traj_a, (it.a_lo, it.a_hi)
@@ -521,160 +523,102 @@ def _build_stretches(m: Motion):
     return stretches, theta
 
 
-def _theta_on(st: _Stretch, u: float) -> float:
-    """Unwrapped placement angle at primitive fraction u of a stretch."""
-    return st.theta_lo + _stretch_theta_delta(st.prim, st.static,
-                                              st.robot == "A", st.prim_u0, u)
-
-
-def _s_of_u(st: _Stretch, u: float) -> float:
-    if st.prim_u1 == st.prim_u0:
+def _crossing(st: _Stretch, target: float) -> float:
+    """Motion arc length where the stretch's monotone placement angle
+    reaches target, in closed form: on an arc about the parked robot the
+    angle is linear in arc length, and on a segment cross(r0 + f d, e) = 0,
+    with e the target direction, is linear in f."""
+    if st.theta_hi == st.theta_lo:
         return st.s_lo
-    frac = (u - st.prim_u0) / (st.prim_u1 - st.prim_u0)
-    return st.s_lo + (st.s_hi - st.s_lo) * frac
+    if isinstance(st.prim, Arc):
+        f = (target - st.theta_lo) / (st.theta_hi - st.theta_lo)
+    else:
+        sgn = 1.0 if st.robot == "A" else -1.0
+        r0 = (st.prim.point_at(st.prim_u0) - st.static) * sgn
+        d = (st.prim.point_at(st.prim_u1) - st.static) * sgn - r0
+        e = rotate(r0, target - st.theta_lo)
+        den = cross(d, e)
+        f = -cross(r0, e) / den if den != 0.0 else 0.0
+    return st.s_lo + (st.s_hi - st.s_lo) * min(max(f, 0.0), 1.0)
 
 
-def _invert_theta(st: _Stretch, ua: float, ub: float, target: float) -> float:
-    """Fraction u in [ua, ub] where the (monotone) angle equals target;
-    bisection refined to 1e-10 rad."""
-    ta, tb = _theta_on(st, ua), _theta_on(st, ub)
-    if ta == tb:
-        return ua
-    rising = tb > ta
-    lo, hi = ua, ub
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        tm = _theta_on(st, mid)
-        if abs(tm - target) <= 1e-10:
-            return mid
-        if (tm < target) == rising:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _find_windows(stretches, theta_end, sgn, total):
+    """Reversal windows as (s_open, s_close) pairs, in one forward pass.
 
-
-def _find_windows(stretches, theta_start, theta_end, sgn):
-    """Reversal windows as (s_open, s_close) pairs with equal profile angle.
-
-    Working in the signed space (multiply angles by sgn) the coupled profile
-    is the running max clamped at the final angle; windows are the maximal
-    intervals where the raw profile departs from it."""
-    tol = 1e-12
+    Working in the signed space (angles times sgn) the coupled profile is
+    the running max clamped at the final angle: a falling stretch opens a
+    window at its start, a rising one closes it where it regains the
+    window's level, and once the profile passes the final angle one last
+    window runs to the end."""
     cap = sgn * theta_end
-    v = sgn * theta_start
-    windows = []
-    open_s = open_v = None
+    level = sgn * stretches[0].theta_lo
+    windows, open_s = [], None
     for st in stretches:
-        pieces = [(st.prim_u0, st.prim_u1)]
-        while pieces:
-            ua, ub = pieces.pop()
-            if ua == ub:
-                continue
-            ta, tb = sgn * _theta_on(st, ua), sgn * _theta_on(st, ub)
+        lo, hi = sgn * st.theta_lo, sgn * st.theta_hi
+        if hi < lo:
             if open_s is None:
-                if tb >= ta - tol:
-                    if tb > cap + 1e-9:
-                        u_star = _invert_theta(st, ua, ub, sgn * cap)
-                        open_s, open_v = _s_of_u(st, u_star), cap
-                        v = cap
-                    else:
-                        v = max(v, tb)
-                    continue
-                open_s, open_v = _s_of_u(st, ua), v
-            rising = tb >= ta
-            if rising:
-                crossed = ta <= open_v + tol and tb >= open_v - tol
-            else:
-                crossed = ta >= open_v - tol and tb <= open_v + tol
-            if crossed:
-                u_star = _invert_theta(st, ua, ub, sgn * open_v)
-                windows.append((open_s, _s_of_u(st, u_star)))
-                v = open_v
-                open_s = open_v = None
-                if u_star < ub:
-                    pieces.append((u_star, ub))
+                open_s = st.s_lo
+            continue
+        if open_s is not None and hi >= level:
+            windows.append((open_s, _crossing(st, sgn * level)))
+            open_s = None
+        if open_s is None:
+            if hi > cap:
+                s_cap = _crossing(st, theta_end)
+                if windows and windows[-1][1] >= s_cap:
+                    s_cap = windows.pop()[0]
+                return windows + [(s_cap, total)]
+            level = max(level, hi)
     if open_s is not None:
-        if abs(open_v - cap) <= 1e-9:
-            windows.append((open_s, stretches[-1].s_hi))
-        else:
-            raise CouplingFailure("unclosed reversal window")
-    return [(a, b) for a, b in windows if b > a]
+        windows.append((open_s, total))
+    return windows
+
+
+def _is_straight(tr: Trajectory, lo: float, hi: float, tol: float) -> bool:
+    if hi <= lo:
+        return True
+    return hi - lo - dist(tr.point_at(lo), tr.point_at(hi)) <= tol
 
 
 def couple(m: Motion) -> Motion:
-    """Monotone (coupled) version of a decoupled optimal motion.
+    """Monotone (coupled) re-timing of a decoupled optimal motion.
 
-    Reversal windows of the unwrapped placement-angle profile are replaced
-    by straight joint interpolations of both robots; total trace length is
-    preserved (the inputs are optimal, so chords cost the same)."""
+    The trajectories are kept; only the schedule changes.  Outside the
+    reversal windows of the unwrapped placement-angle profile each phase
+    becomes one single-robot item; across each window both robots move
+    together in one item.  A window's ends have the same angle and, the
+    input being optimal, each robot's path through it is straight, so the
+    angle stays constant there."""
     if m.is_coupled or not m.schedule or m.length == 0.0:
         return m
+    spans = _phase_windows(m)
+    total = spans[-1][1]
     stretches, theta_end = _build_stretches(m)
-    theta_start = placement_angle(m.start)
-    net = theta_end - theta_start
     if m.orientation == "ccw":
         sgn = 1.0
     elif m.orientation == "cw":
         sgn = -1.0
     else:
-        sgn = 1.0 if net >= 0.0 else -1.0
-    windows = _find_windows(stretches, theta_start, theta_end, sgn)
-    total = m.length
-    events = [0.0]
-    for w in windows:
-        events += [w[0], w[1]]
-    events.append(total)
-
-    new_a, new_b, items = [], [], []
-    a_off = b_off = 0.0
-
-    def emit_single(robot, prims):
-        nonlocal a_off, b_off
-        for prim in prims:
-            ln = prim.length
-            if ln <= 0.0:
-                continue
-            if robot == "A":
-                new_a.append(prim)
-                items.append(JointItem(a_off, a_off + ln, b_off, b_off))
-                a_off += ln
-            else:
-                new_b.append(prim)
-                items.append(JointItem(a_off, a_off, b_off, b_off + ln))
-                b_off += ln
-
-    phase_spans = _phase_windows(m)
-    for k in range(len(events) - 1):
-        s0, s1 = events[k], events[k + 1]
-        if s1 - s0 <= 1e-12 * (1.0 + total):
-            continue
-        if k % 2 == 1:  # reversal window: one straight joint item
-            p0 = _positions_at(m, s0)
-            p1 = _positions_at(m, s1)
-            la, lb = dist(p0.a, p1.a), dist(p0.b, p1.b)
-            if la > 0.0:
-                new_a.append(Segment(p0.a, p1.a))
-            if lb > 0.0:
-                new_b.append(Segment(p0.b, p1.b))
-            if la > 0.0 or lb > 0.0:
-                items.append(JointItem(a_off, a_off + la, b_off, b_off + lb))
-                a_off += la
-                b_off += lb
-        else:  # copy the original phases restricted to [s0, s1]
-            for lo, hi, robot, base in phase_spans:
-                o0, o1 = max(lo, s0), min(hi, s1)
-                if o1 - o0 <= 1e-12 * (1.0 + total):
-                    continue
-                traj = m.traj_a if robot == "A" else m.traj_b
-                emit_single(robot,
-                            traj.slice(base + (o0 - lo), base + (o1 - lo)))
-    coupled = Motion(Trajectory(tuple(new_a)), Trajectory(tuple(new_b)),
-                     tuple(items), m.orientation, m.start, m.end)
-    if abs(coupled.length - m.length) > 1e-9 * (1.0 + m.length):
-        raise CouplingFailure(
-            f"coupling changed length by {coupled.length - m.length}")
-    return coupled
+        sgn = 1.0 if theta_end >= stretches[0].theta_lo else -1.0
+    windows = _find_windows(stretches, theta_end, sgn, total)
+    cuts = [0.0, *(s for w in windows for s in w), total]
+    phase_ends = [hi for _, hi, _, _ in spans]
+    tol = 1e-9 * (1.0 + m.length)
+    items = []
+    for k in range(len(cuts) - 1):
+        s0, s1 = cuts[k], cuts[k + 1]
+        in_window = k % 2 == 1
+        marks = [s0, *(e for e in phase_ends
+                       if not in_window and s0 < e < s1), s1]
+        a, b = (v.tolist() for v in _arclen_maps(m, np.asarray(marks)))
+        if in_window and not (_is_straight(m.traj_a, a[0], a[-1], tol)
+                              and _is_straight(m.traj_b, b[0], b[-1], tol)):
+            raise CouplingFailure(
+                "a robot's path through a reversal window is not straight")
+        items += [JointItem(a[i], a[i + 1], b[i], b[i + 1])
+                  for i in range(len(marks) - 1) if marks[i + 1] > marks[i]]
+    return Motion(m.traj_a, m.traj_b, tuple(items), m.orientation,
+                  m.start, m.end)
 
 
 # ---------------------------------------------------------------------------

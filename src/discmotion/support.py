@@ -95,8 +95,16 @@ def placement_angle(p: Placement) -> float:
 
 
 def swept_interval(inst: Instance) -> AngleInterval:
-    """Ccw interval from the start placement angle to the goal's."""
-    return AngleInterval(placement_angle(inst.p0), placement_angle(inst.p1))
+    """Ccw interval from the start placement angle to the goal's; angles
+    that agree within the roundoff of the coordinates give the degenerate
+    interval, never a full turn."""
+    start, end = placement_angle(inst.p0), placement_angle(inst.p1)
+    scale = max(abs(c) for p in (inst.a0, inst.b0, inst.a1, inst.b1)
+                for c in p)
+    tol = 1e-13 * (1.0 + scale / inst.s)
+    if min((end - start) % TWO_PI, (start - end) % TWO_PI) <= tol:
+        return AngleInterval(start, start)
+    return AngleInterval(start, end)
 
 
 def integrand(ev: SupportEvaluator, s: float, interval: AngleInterval,

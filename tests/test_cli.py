@@ -14,6 +14,11 @@ SYMMETRIC_CROSSING = {"s": 1.0, "A0": [1.0, 0.4], "B0": [0.0, 0.0],
            "A1": [3.0, 0.4], "B1": [4.0, 0.0]}
 BLOCKED_CCW = {"s": 1.0, "A0": [1.6, -0.3], "B0": [0.0, 0.0],
             "A1": [0.6, -0.3], "B1": [2.2, 0.0]}
+# a wide instance whose coupled plan once ended in sliver primitives
+SLIVER = {"s": 1.0, "A0": [-3.974646809685753, -9.379764970605],
+          "B0": [7.310544739578912, -0.5450182266906634],
+          "A1": [-2.1007319199851215, 6.018175419704566],
+          "B1": [-1.1075788789847874, 8.71173443409042]}
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -199,6 +204,83 @@ def test_verify_corrupted_arc_fails(tmp_path, capsys):
     assert lines["boundAgreement"].startswith("FAIL")
     assert lines["oracleUpperBound"].startswith("FAIL")
     assert lines["feasibility"].startswith("PASS")
+
+
+def plan_documents(tmp_path, capsys, inst):
+    """Decoupled and coupled plan documents of one instance."""
+    path = write_instance(tmp_path, inst)
+    docs = []
+    for extra in ([], ["--couple"]):
+        out_path = tmp_path / "plan.json"
+        code, _, _ = run(["plan", path, "--out", str(out_path)] + extra,
+                         capsys)
+        assert code == 0
+        docs.append(json.loads(out_path.read_text(encoding="utf-8")))
+    return docs
+
+
+@pytest.mark.parametrize("inst", [SYMMETRIC_CROSSING, SLIVER])
+def test_verify_coupled_plan_passes(tmp_path, capsys, inst):
+    decoupled, coupled = plan_documents(tmp_path, capsys, inst)
+    assert coupled["trajectories"] == decoupled["trajectories"]
+    assert all("aFrom" in item for item in coupled["schedule"])
+    plan_path = tmp_path / "coupled.json"
+    plan_path.write_text(json.dumps(coupled), encoding="utf-8")
+    code, out, _ = run(["verify", str(plan_path)], capsys)
+    assert code == 0
+    assert "certificate: PASS" in out
+
+
+def _shift_x(doc):
+    for prims in doc["trajectories"].values():
+        for prim in prims:
+            for key in ("from", "to", "center"):
+                if key in prim:
+                    prim[key][0] += 100.0
+
+
+def _cut_schedule(doc):
+    doc["schedule"] = doc["schedule"][:1]
+
+
+def _mix_schedule(doc):
+    doc["schedule"].insert(0, {"robot": "A", "start": 0, "stop": 0})
+
+
+def _join_schedule(doc):
+    items = doc["schedule"]
+    doc["schedule"] = [{"aFrom": 0.0, "aTo": items[-1]["aTo"],
+                        "bFrom": 0.0, "bTo": items[-1]["bTo"]}]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("mutate", [_shift_x, _cut_schedule])
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_plan_document_not_covering_instance_rejected(
+        tmp_path, capsys, coupled, mutate, command):
+    doc = plan_documents(tmp_path, capsys, SYMMETRIC_CROSSING)[coupled]
+    mutate(doc)
+    plan_path = tmp_path / "mutant.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(plan_path)]
+    if command == "render":
+        argv += ["--svg", str(tmp_path / "mutant.svg")]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_mix_schedule, "mixes phases and joint items"),
+    (_join_schedule, "not straight")])
+def test_coupled_schedule_checked(tmp_path, capsys, mutate, message):
+    doc = plan_documents(tmp_path, capsys, SYMMETRIC_CROSSING)[1]
+    mutate(doc)
+    plan_path = tmp_path / "mutant.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(["verify", str(plan_path)], capsys)
+    assert code == 1
+    assert message in err
 
 
 def test_fuzz_deterministic_and_passing(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Trajectories, motions, separation, convexity, profiles, and coupling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from discmotion import (
     Arc,
     Circle,
+    Instance,
     JointItem,
     Motion,
     Phase,
@@ -27,7 +30,8 @@ from discmotion import (
     shortest_path_avoiding_disc,
     swap_roles,
 )
-from conftest import make_instance
+from discmotion.cli import random_instance
+from conftest import instances, make_instance
 
 PARKED = Trajectory(())
 
@@ -120,6 +124,17 @@ def test_min_separation_joint_item_endpoint_rule():
     assert min_separation(m) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_min_separation_joint_item_crossing_paths():
+    # the relative vector passes 0.1 from the origin mid-item, far from
+    # both endpoints
+    ta = Trajectory((Segment(Point(-2, 0), Point(2, 0)),))
+    tb = Trajectory((Segment(Point(2, 0.1), Point(-2, 0.1)),))
+    m = Motion(ta, tb, (JointItem(0.0, 4.0, 0.0, 4.0),), "ccw",
+               Placement(Point(-2, 0), Point(2, 0.1)),
+               Placement(Point(2, 0), Point(-2, 0.1)))
+    assert min_separation(m) == pytest.approx(0.1, abs=1e-12)
+
+
 def test_min_separation_sampled_agrees_on_planned_motions(symmetric_crossing, blocked_ccw,
                                                           case1):
     for inst in (symmetric_crossing, blocked_ccw, case1):
@@ -193,6 +208,23 @@ def test_couple_already_monotone_straight_motion(case1):
     m = plan(case1).chosen
     cm = couple(m)
     assert abs(cm.length - m.length) <= 1e-9 * max(1.0, m.length)
+    d = np.diff(placement_angle_profile(cm, 10_000))
+    assert float(d.min()) >= -1e-9 or float(d.max()) <= 1e-9
+
+
+@given(instances())
+def test_couple_keeps_the_planned_paths(inst):
+    m = plan(inst).chosen
+    cm = couple(m)
+    assert cm.traj_a == m.traj_a and cm.traj_b == m.traj_b
+
+
+def test_couple_far_from_origin():
+    inst = random_instance(random.Random(57), box=1.5)
+    shift = Point(1e6, -1e6)
+    far = Instance(inst.s, Placement(inst.a0 + shift, inst.b0 + shift),
+                   Placement(inst.a1 + shift, inst.b1 + shift))
+    cm = couple(plan(far).chosen)
     d = np.diff(placement_angle_profile(cm, 10_000))
     assert float(d.min()) >= -1e-9 or float(d.max()) <= 1e-9
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from discmotion import (
@@ -209,6 +209,9 @@ def test_optimal_bound_axis_symmetric_ties_to_ccw():
 
 
 @given(instances(), st.floats(0, TWO_PI), coords, coords)
+# equal placement angles that the move leaves 5.6e-16 apart: the swept
+# interval must stay degenerate, not become a full turn
+@example(make_instance(1.0, (0, 0), (0, -2), (0, 0), (0, -3)), 5.0, 0.0, 9.0)
 def test_bound_rigid_invariance(inst, angle, tx, ty):
     frame = Frame(angle, Point(tx, ty))
     moved = Instance(inst.s,
