@@ -42,7 +42,7 @@ def main() -> None:
     # bound on any net-ccw motion, and it exceeds the planned cw length.
     _, norm = normalize(inst)
     ev = evaluator_for(norm)
-    ccw_bound = quadrature_bound(ev, inst.s, swept_interval(norm), tol=1e-10)
+    ccw_bound = quadrature_bound(ev, inst.s, swept_interval(norm))
     print(f"ccw lower bound: {ccw_bound:.12f} "
           f"(+{ccw_bound - report.chosen.length:.6f} over the cw plan)")
 

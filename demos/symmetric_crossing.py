@@ -54,7 +54,7 @@ def cross_check(inst: Instance, report) -> None:
     ev = evaluator_for(norm)
     fwd = swept_interval(norm)
     interval = fwd if report.bound.chosen == "ccw" else fwd.reversed_sweep()
-    quad = quadrature_bound(ev, inst.s, interval, tol=1e-12)
+    quad = quadrature_bound(ev, inst.s, interval)
     print(f"quadrature     {quad:.12f}  "
           f"(|closed form - quadrature| = {abs(report.bound.min - quad):.2e})")
     cert = certify(inst, report)

@@ -11,7 +11,7 @@ from .errors import (ClassificationFailure, ConstructionFailure,
                      CouplingFailure, DegenerateCircles, DiscMotionError,
                      ForcedClockwiseSignal, InfeasibleEndpoint, InvalidCone,
                      OptimalityCheckFailure, OracleExhausted,
-                     PointInsideCircle, QuadratureFailure, UndefinedAngle)
+                     PointInsideCircle, UndefinedAngle)
 from .geom import (Circle, Frame, Instance, Placement, Point, angle_of,
                    circle_circle_intersection, dist, distance_point_segment,
                    dominates, in_s_cone, in_s_corridor, normalize,
@@ -42,7 +42,7 @@ __all__ = [
     "GridSpec", "InfeasibleEndpoint", "Instance", "InvalidCone", "JointItem",
     "LengthBound", "Motion", "OptimalityCheckFailure", "OracleExhausted",
     "OracleResult", "Phase", "PlanReport", "Placement", "Point",
-    "PointInsideCircle", "QuadratureFailure", "Segment", "SupportEvaluator",
+    "PointInsideCircle", "Segment", "SupportEvaluator",
     "Trajectory", "UndefinedAngle", "ZoneLabel", "angle_of",
     "build_generic_motion", "certify", "circle_circle_intersection",
     "classify_case", "classify_zone_case2", "classify_zone_case3",

@@ -21,10 +21,6 @@ class UndefinedAngle(DiscMotionError):
     """Placement angle of coincident centres."""
 
 
-class QuadratureFailure(DiscMotionError):
-    """Adaptive quadrature failed to converge within the depth cap."""
-
-
 class CouplingFailure(DiscMotionError):
     """Coupling could not match reversal-window endpoint angles."""
 

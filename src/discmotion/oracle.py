@@ -1,10 +1,17 @@
 """Independent cross-checks for planner output.
 
-Two instruments: a brute-force grid search over the decoupled three-leg
-motion family (an upper-bound oracle; the planner optimizes over the same
-family, so the grid can never beat it by more than roundoff) and a
-certificate bundling that search with the quadrature twin of the length
-bound, feasibility, convexity and primitive-count checks.
+Two instruments: a grid search over the decoupled three-leg motion family
+(an upper-bound oracle; the planner optimizes over the same family, so the
+grid can never beat it by more than roundoff) and a certificate bundling
+that search with the quadrature twin of the length bound, feasibility,
+convexity and primitive-count checks.
+
+The search is exact over its lattice but evaluates few of its points.
+Every leg is at least its chord, so a pivot can only match the better
+endpoint seed of its mover order inside an ellipse around the two ends of
+the outer robot's move; only the lattice points in that ellipse are
+evaluated.  The bound comes from the oracle's own seeds, never from the
+plan being checked, so the oracle stays independent of the planner.
 """
 
 from __future__ import annotations
@@ -74,10 +81,11 @@ def _avoid_lengths(ux, uy, vx, vy, cx, cy, r):
     return np.where(dseg >= r - 1e-12, seg, wrap)
 
 
-def _lattice(n: Instance, grid: GridSpec):
+def _lattice(n: Instance, grid: GridSpec, ellipse=None):
     """Pivot lattice anchored at the normalized B0 (the origin): only the
     multiples of step inside the box, so halving the step yields a strict
-    superset and refinement is monotone."""
+    superset and refinement is monotone.  With ellipse = (f0, f1, reach),
+    only the box points p with |p - f0| + |p - f1| <= reach."""
     s, h = n.s, grid.step
     pad = s + grid.margin
     xs_all = [n.a0.x, n.a1.x, n.b0.x, n.b1.x]
@@ -88,9 +96,46 @@ def _lattice(n: Instance, grid: GridSpec):
     iy = np.arange(math.ceil(ymin / h), math.floor(ymax / h) + 1)
     if ix.size == 0 or iy.size == 0:
         return np.empty(0), np.empty(0)
+    if ellipse is not None:
+        return _ellipse_points(ix, iy, h, *ellipse)
     px = np.repeat(ix * h, iy.size)
     py = np.tile(iy * h, ix.size)
     return px, py
+
+
+def _ellipse_points(ix, iy, h, f0: Point, f1: Point, reach: float):
+    """Lattice points (i*h, j*h), i in ix and j in iy, with
+    |p - f0| + |p - f1| <= reach.
+
+    The lattice lines are walked along the axis nearer the ellipse's major
+    axis.  With centre c, half focal vector d and semi-major axis a, the
+    ellipse is a^2 |q|^2 - (q.d)^2 <= a^2 (a^2 - |d|^2) for q = p - c, so
+    on each line the points inside form one run whose ends solve a
+    quadratic.  The runs are taken for a slightly larger a, which covers
+    their roundoff; the chord test then decides each point."""
+    cx, cy = 0.5 * (f0.x + f1.x), 0.5 * (f0.y + f1.y)
+    dx, dy = 0.5 * (f1.x - f0.x), 0.5 * (f1.y - f0.y)
+    a = 0.5 * reach
+    a += 1e-6 * (1.0 + a + abs(cx) + abs(cy))
+    swap = abs(dy) > abs(dx)
+    if swap:
+        ix, iy, cx, cy, dx, dy = iy, ix, cy, cx, dy, dx
+    lead = a * a - dy * dy          # >= a^2 / 2, since dy^2 <= |d|^2 / 2
+    ab = a * math.sqrt(max(lead - dx * dx, 0.0))
+    half_u = math.sqrt(lead)
+    u = ix[(ix * h >= cx - half_u) & (ix * h <= cx + half_u)]
+    qu = u * h - cx
+    w = ab * np.sqrt(np.maximum(lead - qu * qu, 0.0))
+    lo = np.maximum(np.ceil((cy + (qu * dx * dy - w) / lead) / h), iy[0])
+    hi = np.minimum(np.floor((cy + (qu * dx * dy + w) / lead) / h), iy[-1])
+    counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+    first = lo.astype(np.int64) - (np.cumsum(counts) - counts)
+    pu = np.repeat(u * h, counts)
+    pv = (np.repeat(first, counts) + np.arange(counts.sum())) * h
+    px, py = (pv, pu) if swap else (pu, pv)
+    inside = (np.hypot(px - f0.x, py - f0.y)
+              + np.hypot(px - f1.x, py - f1.y) <= reach)
+    return px[inside], py[inside]
 
 
 def _order_totals(px, py, src, mid0, mid1, dst, s):
@@ -105,16 +150,31 @@ def _order_totals(px, py, src, mid0, mid1, dst, s):
     return np.where(feasible, l1 + l2 + l3, np.inf)
 
 
-def _best_for_order(n: Instance, px, py, order: str):
+def _best_for_order(n: Instance, grid: GridSpec, order: str):
+    """Best total and pivot over the lattice plus the endpoint seeds.
+
+    A pivot p costs at least |src - p| + |p - dst| + |mid0 - mid1|, so
+    only the lattice points whose chord bound is at most the best seed's
+    total, plus a slack, are evaluated.  The slack covers the legs' roundoff,
+    which near the circles (square roots and arccosines of nearly
+    tangent quantities) reaches about 1e-7 s.  With no feasible seed the
+    whole lattice is searched."""
     if order == "ABA":
         src, dst, mid0, mid1 = n.a0, n.a1, n.b0, n.b1
     else:
         src, dst, mid0, mid1 = n.b0, n.b1, n.a0, n.a1
-    seeds = np.array([[src.x, src.y], [dst.x, dst.y]])
-    cx = np.concatenate([px, seeds[:, 0]])
-    cy = np.concatenate([py, seeds[:, 1]])
-    totals = _order_totals(cx, cy, src, mid0, mid1, dst, n.s)
-    best = totals.min() if totals.size else np.inf
+    sx, sy = np.array([src.x, dst.x]), np.array([src.y, dst.y])
+    seed_totals = _order_totals(sx, sy, src, mid0, mid1, dst, n.s)
+    best = seed_totals.min()
+    if np.isfinite(best):
+        reach = best + 1e-6 * (n.s + best) - dist(mid0, mid1)
+        px, py = _lattice(n, grid, (src, dst, reach))
+    else:
+        px, py = _lattice(n, grid)
+    cx, cy = np.concatenate([px, sx]), np.concatenate([py, sy])
+    totals = np.concatenate(
+        [_order_totals(px, py, src, mid0, mid1, dst, n.s), seed_totals])
+    best = totals.min()
     if not np.isfinite(best):
         return np.inf, None
     ties = np.flatnonzero(totals == best)
@@ -175,9 +235,8 @@ def pivot_grid_search(inst: Instance,
     if grid is None:
         grid = default_grid(inst)
     frame, n = normalize(inst)
-    px, py = _lattice(n, grid)
-    best_aba, pivot_aba = _best_for_order(n, px, py, "ABA")
-    best_bab, pivot_bab = _best_for_order(n, px, py, "BAB")
+    best_aba, pivot_aba = _best_for_order(n, grid, "ABA")
+    best_bab, pivot_bab = _best_for_order(n, grid, "BAB")
     if pivot_aba is None and pivot_bab is None:
         raise OracleExhausted("no feasible pivot in the search box")
     if pivot_bab is None or best_aba <= best_bab:
@@ -228,7 +287,7 @@ def certify(inst: Instance, report, grid: Optional[GridSpec] = None,
     ev = evaluator_for(n)
     fwd = swept_interval(n)
     interval = fwd if report.bound.chosen == "ccw" else fwd.reversed_sweep()
-    quad = quadrature_bound(ev, s, interval, tol=quad_tol)
+    quad = quadrature_bound(ev, s, interval)
     res_quad = abs(report.bound.min - quad)
     oracle = pivot_grid_search(inst, grid)
     res_oracle = oracle.best_length - m.length

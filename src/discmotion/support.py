@@ -1,11 +1,17 @@
 """Support functions of the two centre segments and the optimal-length
-integral, evaluated both in closed form and by adaptive quadrature.
+integral, evaluated both in closed form and by Gauss-Legendre quadrature.
 
 The key quantity is the paired support value at angle theta: the support of
 segment A0A1 in direction theta plus the support of segment B0B1 in the
 opposite direction.  Integrating max(pair, s) over the swept interval and
 the raw pair elsewhere, then subtracting both chord lengths, gives the
 length bound for one orientation.
+
+The closed form integrates, piece by piece, the sinusoid of the endpoint
+pair that attains both supports (`_active_pair`).  The quadrature twin
+never uses that pair: it evaluates `pair_support` from the segment
+endpoints at every node and finds its own kinks, so a wrong active pair
+moves the closed form and not the twin.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import QuadratureFailure, UndefinedAngle
+import numpy as np
+
+from .errors import UndefinedAngle
 from .geom import TWO_PI, Instance, Placement, Point, angle_of, dist, dot, unit_vector
 
 
@@ -57,12 +65,6 @@ class SupportEvaluator:
     b0: Point
     b1: Point
 
-    def support_a(self, theta: float) -> float:
-        return segment_support(self.a0, self.a1, theta)
-
-    def support_b(self, theta: float) -> float:
-        return segment_support(self.b0, self.b1, theta)
-
 
 @dataclass(frozen=True)
 class LengthBound:
@@ -75,15 +77,18 @@ class LengthBound:
         return self.ccw if self.chosen == "ccw" else self.cw
 
 
-def segment_support(e0: Point, e1: Point, theta: float) -> float:
-    """Support value of the segment hull in direction theta."""
-    u = unit_vector(theta)
-    return max(dot(e0, u), dot(e1, u))
+def segment_support(e0: Point, e1: Point, theta):
+    """Support value of the segment hull in direction theta (a float or an
+    array of angles)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.maximum(e0.x * c + e0.y * s, e1.x * c + e1.y * s)
 
 
-def pair_support(ev: SupportEvaluator, theta: float) -> float:
-    """Support of A's segment at theta plus B's at theta + pi."""
-    return ev.support_a(theta) + ev.support_b(theta + math.pi)
+def pair_support(ev: SupportEvaluator, theta):
+    """Support of A's segment at theta plus B's at theta + pi (a float or
+    an array of angles)."""
+    return (segment_support(ev.a0, ev.a1, theta)
+            + segment_support(ev.b0, ev.b1, theta + math.pi))
 
 
 def placement_angle(p: Placement) -> float:
@@ -150,32 +155,38 @@ def _breakpoints(ev: SupportEvaluator, interval: AngleInterval):
     return merged
 
 
+def _arcs(ev: SupportEvaluator, interval: AngleInterval):
+    """Arcs (lo, hi) between consecutive breakpoints, covering one turn.
+    On each, both active endpoints and membership in the interval are
+    constant, so pair_support is one sinusoid r . u(theta)."""
+    base = _breakpoints(ev, interval)
+    return list(zip(base, base[1:] + [base[0] + TWO_PI]))
+
+
+def _floor_cuts(lo: float, hi: float, rel: Point, s: float):
+    """[lo, hi] split where the sinusoid rel . u(theta) crosses s."""
+    cuts = [lo, hi]
+    r = math.hypot(rel.x, rel.y)
+    if r >= s and r > 0.0:
+        phi = angle_of(rel)
+        alpha = math.acos(min(1.0, s / r))
+        for cand in (phi - alpha, phi + alpha):
+            c = lo + ((cand - lo) % TWO_PI)
+            if lo + 1e-12 < c < hi - 1e-12:
+                cuts.append(c)
+    cuts.sort()
+    return cuts
+
+
 def _piece_angles(ev: SupportEvaluator, s: float, interval: AngleInterval):
     """Integration pieces: breakpoints plus crossings pair_support = s."""
-    base = _breakpoints(ev, interval)
     pieces = []
-    n = len(base)
-    for i in range(n):
-        lo = base[i]
-        hi = base[(i + 1) % n] if i + 1 < n else base[0] + TWO_PI
-        if hi <= lo:
-            hi += TWO_PI
+    for lo, hi in _arcs(ev, interval):
         mid = 0.5 * (lo + hi)
         a, b = _active_pair(ev, mid)
-        rel = a - b
-        r = math.hypot(rel.x, rel.y)
         inside = interval.contains(mid % TWO_PI)
-        cuts = [lo, hi]
-        if inside and r >= s and r > 0.0:
-            phi = angle_of(rel)
-            alpha = math.acos(min(1.0, s / r))
-            for cand in (phi - alpha, phi + alpha):
-                c = lo + ((cand - lo) % TWO_PI)
-                if lo + 1e-12 < c < hi - 1e-12:
-                    cuts.append(c)
-        cuts.sort()
-        for j in range(len(cuts) - 1):
-            pieces.append((cuts[j], cuts[j + 1], a, b, inside))
+        cuts = _floor_cuts(lo, hi, a - b, s) if inside else [lo, hi]
+        pieces += [(c0, c1, a, b, inside) for c0, c1 in zip(cuts, cuts[1:])]
     return pieces
 
 
@@ -198,44 +209,40 @@ def closed_form_bound(ev: SupportEvaluator, s: float,
     return total - dist(ev.a0, ev.a1) - dist(ev.b0, ev.b1)
 
 
-def _adaptive_simpson(f, lo, hi, tol, depth):
-    mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        if depth > 60:
-            raise QuadratureFailure("adaptive quadrature exceeded max depth")
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return recurse(lo, hi, flo, fmid, fhi, whole, tol, depth)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def quadrature_bound(ev: SupportEvaluator, s: float, interval: AngleInterval,
-                     tol: float = 1e-10) -> float:
-    """Independent evaluation of the same integral by adaptive Simpson,
-    seeded at every analytic breakpoint."""
-    pieces = _piece_angles(ev, s, interval)
-    if not pieces:
-        return -dist(ev.a0, ev.a1) - dist(ev.b0, ev.b1)
-    total = 0.0
-    per_piece = tol / len(pieces)
-    for lo, hi, _a, _b, inside in pieces:
-        if hi - lo <= 0.0:
-            continue
-        if inside:
-            f = lambda t: max(pair_support(ev, t), s)
-        else:
-            f = lambda t: pair_support(ev, t)
-        total += _adaptive_simpson(f, lo, hi, per_piece, 0)
+def _sampled_rel(ev: SupportEvaluator, lo: float, hi: float) -> Point:
+    """The vector r with pair_support = r . u(theta) on an arc free of
+    breakpoints, solved from two samples of pair_support itself."""
+    t1, t2 = lo + (hi - lo) / 3.0, lo + 2.0 * (hi - lo) / 3.0
+    h1, h2 = pair_support(ev, np.array([t1, t2]))
+    det = math.sin(t2 - t1)
+    return Point((h1 * math.sin(t2) - h2 * math.sin(t1)) / det,
+                 (h2 * math.cos(t1) - h1 * math.cos(t2)) / det)
+
+
+def quadrature_bound(ev: SupportEvaluator, s: float,
+                     interval: AngleInterval) -> float:
+    """Independent evaluation of the same integral: a 16-node
+    Gauss-Legendre rule on each smooth piece, every node of every piece
+    evaluated from the segment endpoints in one pass.  The pieces split at
+    the breakpoints and, inside the interval, where the sampled sinusoid
+    crosses s, so the integrand is analytic on each."""
+    lo, hi, floor = [], [], []
+    for t0, t1 in _arcs(ev, interval):
+        inside = interval.contains(0.5 * (t0 + t1) % TWO_PI)
+        cuts = (_floor_cuts(t0, t1, _sampled_rel(ev, t0, t1), s)
+                if inside else [t0, t1])
+        lo += cuts[:-1]
+        hi += cuts[1:]
+        floor += [inside] * (len(cuts) - 1)
+    lo, hi = np.array(lo), np.array(hi)
+    half = 0.5 * (hi - lo)
+    theta = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    h = pair_support(ev, theta)
+    f = np.where(np.array(floor)[:, None], np.maximum(h, s), h)
+    total = float(half @ (f @ _GL_WEIGHTS))
     return total - dist(ev.a0, ev.a1) - dist(ev.b0, ev.b1)
 
 

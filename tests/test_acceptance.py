@@ -68,7 +68,7 @@ def test_criterion_1_bound_construction_equality(corpus, planned,
             continue
         ev = evaluator_for(inst)
         iv = chosen_interval(inst, rep.bound.chosen)
-        q = quadrature_bound(ev, inst.s, iv, tol=1e-10)
+        q = quadrature_bound(ev, inst.s, iv)
         if abs(rep.bound.min - q) > 1e-9:
             bad.append((inst, "quadrature mismatch"))
     check_seconds = time.perf_counter() - start
@@ -278,8 +278,7 @@ def test_criterion_8_derived_fixtures(symmetric_crossing, blocked_ccw, acceptanc
 
     rb = plan(blocked_ccw)
     ev = evaluator_for(blocked_ccw)
-    ccw_quad = quadrature_bound(ev, blocked_ccw.s, swept_interval(blocked_ccw),
-                                tol=1e-10)
+    ccw_quad = quadrature_bound(ev, blocked_ccw.s, swept_interval(blocked_ccw))
     blocked_ok = (rb.forced_clockwise
                   and rb.chosen.orientation == "cw"
                   and rb.chosen.length < ccw_quad)

@@ -1,20 +1,27 @@
 """Grid-search upper-bound oracle and the six-check certificate."""
 
+import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from discmotion import (
     Arc,
     GridSpec,
+    LengthBound,
     Motion,
+    Point,
     Trajectory,
     certify,
     default_grid,
     min_separation,
+    normalize,
+    oracle,
     pivot_grid_search,
     plan,
 )
+from discmotion.cli import random_instance
 from conftest import make_instance
 
 CHECKS = ("feasibility", "convexity", "boundAgreement",
@@ -78,6 +85,77 @@ def test_oracle_deterministic(symmetric_crossing):
     assert a.order == b.order
 
 
+def brute_force_search(inst, grid):
+    """The unpruned search: every lattice point of the box plus both
+    endpoint seeds, for both mover orders; the same argmin, (x, y)
+    tie-break and ABA preference as the oracle."""
+    frame, n = normalize(inst)
+    px, py = oracle._lattice(n, grid)
+    best = {}
+    for order, (src, dst, mid0, mid1) in (("ABA", (n.a0, n.a1, n.b0, n.b1)),
+                                          ("BAB", (n.b0, n.b1, n.a0, n.a1))):
+        cx = np.concatenate([px, [src.x, dst.x]])
+        cy = np.concatenate([py, [src.y, dst.y]])
+        totals = oracle._order_totals(cx, cy, src, mid0, mid1, dst, n.s)
+        if np.isfinite(totals.min()):
+            ties = np.flatnonzero(totals == totals.min())
+            k = min(ties, key=lambda i: (cx[i], cy[i]))
+            best[order] = (totals.min(), Point(float(cx[k]), float(cy[k])))
+    order = min(best, key=lambda o: (best[o][0], o))
+    pivot = frame.apply(best[order][1])
+    return oracle._build_decoupled(inst, pivot, order).length, pivot, order
+
+
+def half_integer_instance(rng):
+    """Placements on the half-integer lattice: collinear and equal-length
+    alternatives make exact ties in the search."""
+    def placement():
+        while True:
+            a, b = (Point(rng.randint(-6, 6) / 2, rng.randint(-6, 6) / 2)
+                    for _ in range(2))
+            if np.hypot(a.x - b.x, a.y - b.y) >= 1.0:
+                return a, b
+    return make_instance(1.0, *placement(), *placement())
+
+
+def prune_corpus(n_wide=6):
+    rng = random.Random(4242)
+    return ([random_instance(rng, box=10.0) for _ in range(6)][:n_wide]
+            + [random_instance(rng, box=1.5) for _ in range(8)]
+            + [half_integer_instance(rng) for _ in range(8)]
+            # contact ties
+            + [make_instance(1.0, (1.5, -0.5), (0, 0.5), (0.5, 1.5),
+                             (1.5, 0.5)),
+               make_instance(1.0, (0, 0.5), (1, 1.5), (0, 1.5), (-1, 1)),
+               # |A0 - B1| < s and |A1 - B0| < s: no feasible seed in
+               # either order, so both search the full lattice
+               make_instance(1.0, (0, 0), (1.2, 0), (1.2, 0.3), (0, 0.3))])
+
+
+# at step 0.025 the unpruned box-10 lattice has about a million points,
+# so only two wide instances are searched at that pitch
+@pytest.mark.parametrize("step,n_wide", [(None, 6), (0.025, 2)])
+def test_pruned_search_matches_brute_force(step, n_wide):
+    for inst in prune_corpus(n_wide):
+        grid = default_grid(inst) if step is None \
+            else GridSpec(step=step, margin=2.0 * inst.s)
+        length, pivot, order = brute_force_search(inst, grid)
+        res = pivot_grid_search(inst, grid)
+        assert (res.best_length, res.best_pivot, res.order) \
+            == (length, pivot, order), inst
+
+
+def test_swap_instance_has_no_feasible_seed():
+    inst = prune_corpus()[-1]
+    _, n = normalize(inst)
+    for src, dst, mid0, mid1 in ((n.a0, n.a1, n.b0, n.b1),
+                                 (n.b0, n.b1, n.a0, n.a1)):
+        seeds = oracle._order_totals(np.array([src.x, dst.x]),
+                                     np.array([src.y, dst.y]),
+                                     src, mid0, mid1, dst, n.s)
+        assert not np.isfinite(seeds).any()
+
+
 def test_certificate_all_checks_pass(symmetric_crossing):
     report = plan(symmetric_crossing)
     cert = certify(symmetric_crossing, report)
@@ -122,3 +200,15 @@ def test_certificate_flags_corrupted_arc(symmetric_crossing):
     assert verdicts["quadratureAgreement"]
     assert verdicts["primitiveBudget"]
     assert cert.residual("boundAgreement") > 1e-3
+
+
+def test_certificate_flags_bound_off_by_1e6(symmetric_crossing):
+    report = plan(symmetric_crossing)
+    b = report.bound
+    off = SimpleNamespace(
+        chosen=report.chosen,
+        bound=LengthBound(b.ccw + 1e-6, b.cw + 1e-6, b.chosen))
+    cert = certify(symmetric_crossing, off)
+    verdicts = {name: ok for name, ok, _ in cert.checks}
+    assert not verdicts["quadratureAgreement"]
+    assert cert.residual("quadratureAgreement") > 1e-6 - 1e-9

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from discmotion import (
     placement_angle,
     quadrature_bound,
     segment_support,
+    support,
     swept_interval,
 )
 from conftest import coords, instances, make_instance
@@ -59,6 +61,15 @@ def test_pair_support_point_hulls_reduce_to_cosine(theta):
     d = 3.25
     ev = point_evaluator((d, 0), (0, 0))
     assert pair_support(ev, theta) == pytest.approx(d * math.cos(theta), abs=1e-12)
+
+
+def test_pair_support_takes_an_array_of_angles():
+    ev = SupportEvaluator(Point(0, 2), Point(4, 3), Point(1, -1), Point(-2, 0))
+    thetas = np.linspace(0.0, TWO_PI, 17).reshape(1, 17)
+    got = pair_support(ev, thetas)
+    assert got.shape == thetas.shape
+    for t, h in zip(thetas.ravel(), got.ravel()):
+        assert h == pytest.approx(pair_support(ev, float(t)), abs=1e-12)
 
 
 def test_pair_support_parallel_horizontal_segments():
@@ -176,8 +187,46 @@ def test_closed_form_matches_quadrature_both_orientations(inst):
     iv = swept_interval(inst)
     for interval in (iv, iv.complement()):
         cf = closed_form_bound(ev, inst.s, interval)
-        q = quadrature_bound(ev, inst.s, interval, tol=1e-10)
+        q = quadrature_bound(ev, inst.s, interval)
         assert abs(cf - q) <= 1e-10 + 1e-9
+
+
+def test_quadrature_does_not_use_the_active_pair(monkeypatch,
+                                                symmetric_crossing):
+    """A wrong active pair moves the closed form but not the twin, which
+    evaluates the supports from the segment endpoints."""
+    inst = symmetric_crossing
+    ev = evaluator_for(inst)
+    iv = swept_interval(inst)
+    intervals = (iv, iv.complement())
+    closed = [closed_form_bound(ev, inst.s, i) for i in intervals]
+    quad = [quadrature_bound(ev, inst.s, i) for i in intervals]
+    true_pair = support._active_pair
+
+    def wrong_pair(ev, theta):
+        a, b = true_pair(ev, theta)
+        return (ev.a1 if a == ev.a0 else ev.a0,
+                ev.b1 if b == ev.b0 else ev.b0)
+
+    monkeypatch.setattr(support, "_active_pair", wrong_pair)
+    for i, cf, q in zip(intervals, closed, quad):
+        assert abs(closed_form_bound(ev, inst.s, i) - cf) > 1e-3
+        assert quadrature_bound(ev, inst.s, i) == q
+
+
+def test_quadrature_far_from_origin():
+    """At an offset of 1e6 the supports carry roundoff of about 1e-10, so
+    the twin must not try to refine below it."""
+    shift = lambda x, y: (x + 1e6, y - 1e6)
+    inst = make_instance(1.0, shift(1.3964404166946087, -0.19151440011771204),
+                         shift(0.379944872600412, -0.5969214047234839),
+                         shift(1.069201699190267, 1.4729689346064454),
+                         shift(0.5138206264875547, -1.0107011340867906))
+    ev = evaluator_for(inst)
+    iv = swept_interval(inst)
+    for interval in (iv, iv.reversed_sweep()):
+        assert abs(closed_form_bound(ev, inst.s, interval)
+                   - quadrature_bound(ev, inst.s, interval)) <= 1e-8
 
 
 @given(instances())
@@ -189,7 +238,7 @@ def test_closed_form_nonnegative(inst):
 def test_quadrature_identical_placements():
     inst = make_instance(1.0, (3, 0), (0, 0), (3, 0), (0, 0))
     ev = evaluator_for(inst)
-    q = quadrature_bound(ev, inst.s, swept_interval(inst), tol=1e-10)
+    q = quadrature_bound(ev, inst.s, swept_interval(inst))
     assert abs(q) <= 1e-9
 
 
