@@ -18,9 +18,9 @@ from .geom import (Circle, Frame, Instance, Placement, Point, angle_of,
                    reflect_instance, tangent_points)
 from .motion import (Arc, JointItem, Motion, Phase, Segment, Trajectory,
                      couple, is_trace_convex, min_separation,
-                     min_separation_sampled, motion_length,
-                     placement_angle_profile, reflect_motion, reverse_motion,
-                     sample, swap_roles, transform_motion)
+                     min_separation_sampled, placement_angle_profile,
+                     reflect_motion, reverse_motion, sample, swap_roles,
+                     transform_motion)
 from .oracle import (Certificate, GridSpec, OracleResult, certify,
                      default_grid, pivot_grid_search)
 from .planner import (ConstructionTrace, PlanReport, ZoneLabel,
@@ -50,7 +50,7 @@ __all__ = [
     "couple", "default_grid", "dist", "distance_point_segment", "dominates",
     "evaluator_for", "forced_clockwise", "in_s_cone",
     "in_s_corridor", "integrand", "is_trace_convex", "min_separation",
-    "min_separation_sampled", "motion_length", "normalize",
+    "min_separation_sampled", "normalize",
     "optimal_length_bound", "pair_support", "pivot_grid_search",
     "placement_angle", "placement_angle_profile", "plan",
     "quadrature_bound", "reflect_instance", "reflect_motion",

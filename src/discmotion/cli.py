@@ -1,7 +1,8 @@
 """Command-line front end: plan, verify, fuzz, and render.
 
-Exit codes: 0 success, 1 for I/O and parse errors, 2 for certification
-failures (including a requested orientation that cannot be certified).
+Exit codes: 0 success, 1 for I/O and parse errors and rejected options,
+2 for certification failures (including a requested orientation that
+cannot be certified and a grid oracle that finds no feasible pivot).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 from .errors import (ConstructionFailure, DiscMotionError,
-                     OptimalityCheckFailure)
+                     OptimalityCheckFailure, OracleExhausted)
 from .geom import Instance, Placement, Point, dist
 from .motion import (Arc, JointItem, Motion, Phase, Segment, Trajectory,
                      _is_straight, couple, sample)
@@ -414,8 +415,16 @@ def cmd_verify(args) -> int:
     report = SimpleNamespace(chosen=motion, bound=optimal_length_bound(inst))
     grid = None
     if args.grid_step is not None:
-        grid = GridSpec(step=args.grid_step, margin=2.0 * inst.s)
-    cert = certify(inst, report, grid=grid, quad_tol=args.quad_tol)
+        try:
+            grid = GridSpec(step=args.grid_step, margin=2.0 * inst.s)
+        except ValueError as exc:
+            print(f"error: --grid-step: {exc}", file=sys.stderr)
+            return 1
+    try:
+        cert = certify(inst, report, grid=grid, quad_tol=args.quad_tol)
+    except OracleExhausted as exc:
+        print(f"error: grid oracle: {exc}", file=sys.stderr)
+        return 2
     for name, ok, residual in cert.checks:
         print(f"{name:<20} {'PASS' if ok else 'FAIL'}  "
               f"residual={residual:+.3e}")

@@ -95,10 +95,6 @@ class Arc:
 Primitive = Union[Segment, Arc]
 
 
-def primitive_length(p: Primitive) -> float:
-    return p.length
-
-
 @dataclass(frozen=True)
 class Trajectory:
     primitives: tuple
@@ -161,9 +157,6 @@ class Trajectory:
         return out
 
 
-EMPTY_TRAJECTORY = Trajectory(())
-
-
 class Phase(NamedTuple):
     robot: str  # "A" | "B"
     start: int  # first primitive index in that robot's trajectory
@@ -197,10 +190,6 @@ class Motion:
     @property
     def length(self) -> float:
         return self.traj_a.length + self.traj_b.length
-
-
-def motion_length(m: Motion) -> float:
-    return m.length
 
 
 def _phase_windows(m: Motion):

@@ -7,11 +7,13 @@ that search with the quadrature twin of the length bound, feasibility,
 convexity and primitive-count checks.
 
 The search is exact over its lattice but evaluates few of its points.
-Every leg is at least its chord, so a pivot can only match the better
-endpoint seed of its mover order inside an ellipse around the two ends of
+Every leg is at least its chord, so a pivot can only match an upper bound
+on its mover order's best total inside an ellipse around the two ends of
 the outer robot's move; only the lattice points in that ellipse are
-evaluated.  The bound comes from the oracle's own seeds, never from the
-plan being checked, so the oracle stays independent of the planner.
+evaluated.  The bound is the better endpoint seed's total or, when
+neither seed is feasible, the best total over a coarse sub-lattice of the
+search's own lattice.  It never comes from the plan being checked, so the
+oracle stays independent of the planner.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ class GridSpec:
     margin: float
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("grid step must be positive")
-        if self.margin < 0.0:
-            raise ValueError("grid margin must be nonnegative")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"grid step must be positive and finite, "
+                             f"not {self.step}")
+        if not (math.isfinite(self.margin) and self.margin >= 0.0):
+            raise ValueError(f"grid margin must be nonnegative and finite, "
+                             f"not {self.margin}")
 
 
 def default_grid(inst: Instance) -> GridSpec:
@@ -81,11 +85,14 @@ def _avoid_lengths(ux, uy, vx, vy, cx, cy, r):
     return np.where(dseg >= r - 1e-12, seg, wrap)
 
 
-def _lattice(n: Instance, grid: GridSpec, ellipse=None):
+def _lattice(n: Instance, grid: GridSpec, ellipse=None, stride: int = 1):
     """Pivot lattice anchored at the normalized B0 (the origin): only the
     multiples of step inside the box, so halving the step yields a strict
     superset and refinement is monotone.  With ellipse = (f0, f1, reach),
-    only the box points p with |p - f0| + |p - f1| <= reach."""
+    only the box points p with |p - f0| + |p - f1| <= reach.  With a
+    stride, only the box points whose two integer indices are multiples
+    of it; their coordinates are computed as the full lattice's, so each
+    is bit-for-bit one of its points."""
     s, h = n.s, grid.step
     pad = s + grid.margin
     xs_all = [n.a0.x, n.a1.x, n.b0.x, n.b1.x]
@@ -94,6 +101,7 @@ def _lattice(n: Instance, grid: GridSpec, ellipse=None):
     ymin, ymax = min(ys_all) - pad, max(ys_all) + pad
     ix = np.arange(math.ceil(xmin / h), math.floor(xmax / h) + 1)
     iy = np.arange(math.ceil(ymin / h), math.floor(ymax / h) + 1)
+    ix, iy = ix[ix % stride == 0], iy[iy % stride == 0]
     if ix.size == 0 or iy.size == 0:
         return np.empty(0), np.empty(0)
     if ellipse is not None:
@@ -150,15 +158,23 @@ def _order_totals(px, py, src, mid0, mid1, dst, s):
     return np.where(feasible, l1 + l2 + l3, np.inf)
 
 
+# pitch, in lattice steps, of the sub-lattice that bounds a search whose
+# endpoint seeds are both infeasible
+_SUB_STRIDE = 8
+
+
 def _best_for_order(n: Instance, grid: GridSpec, order: str):
     """Best total and pivot over the lattice plus the endpoint seeds.
 
     A pivot p costs at least |src - p| + |p - dst| + |mid0 - mid1|, so
-    only the lattice points whose chord bound is at most the best seed's
-    total, plus a slack, are evaluated.  The slack covers the legs' roundoff,
+    only the lattice points whose chord bound is at most an upper bound on
+    the best total, plus a slack, are evaluated.  The bound is the better
+    seed's total; with both seeds infeasible it is the best total over the
+    sub-lattice of every _SUB_STRIDE-th point in each direction, whose
+    points are lattice members.  The slack covers the legs' roundoff,
     which near the circles (square roots and arccosines of nearly
-    tangent quantities) reaches about 1e-7 s.  With no feasible seed the
-    whole lattice is searched."""
+    tangent quantities) reaches about 1e-7 s.  Only when the sub-lattice
+    has no feasible point either is the whole lattice searched."""
     if order == "ABA":
         src, dst, mid0, mid1 = n.a0, n.a1, n.b0, n.b1
     else:
@@ -166,6 +182,10 @@ def _best_for_order(n: Instance, grid: GridSpec, order: str):
     sx, sy = np.array([src.x, dst.x]), np.array([src.y, dst.y])
     seed_totals = _order_totals(sx, sy, src, mid0, mid1, dst, n.s)
     best = seed_totals.min()
+    if not np.isfinite(best):
+        px, py = _lattice(n, grid, stride=_SUB_STRIDE)
+        best = _order_totals(px, py, src, mid0, mid1, dst,
+                             n.s).min(initial=np.inf)
     if np.isfinite(best):
         reach = best + 1e-6 * (n.s + best) - dist(mid0, mid1)
         px, py = _lattice(n, grid, (src, dst, reach))

@@ -206,6 +206,33 @@ def test_verify_corrupted_arc_fails(tmp_path, capsys):
     assert lines["feasibility"].startswith("PASS")
 
 
+def planned_document(tmp_path, capsys, inst):
+    path = write_instance(tmp_path, inst)
+    plan_path = tmp_path / "plan.json"
+    code, _, _ = run(["plan", path, "--out", str(plan_path)], capsys)
+    assert code == 0
+    return str(plan_path)
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+def test_verify_rejects_bad_grid_step(tmp_path, capsys, step):
+    plan_path = planned_document(tmp_path, capsys, BLOCKED_CCW)
+    code, out, err = run(["verify", plan_path, "--grid-step", step], capsys)
+    assert code == 1
+    assert err.startswith("error: --grid-step:")
+    assert out == ""
+
+
+def test_verify_exhausted_grid_oracle_exits_2(tmp_path, capsys):
+    # at this pitch the only lattice pivot is B0, inside both circles, and
+    # neither endpoint seed is feasible
+    plan_path = planned_document(tmp_path, capsys, BLOCKED_CCW)
+    code, out, err = run(["verify", plan_path, "--grid-step", "1e9"], capsys)
+    assert code == 2
+    assert err.startswith("error: grid oracle: no feasible pivot")
+    assert out == ""
+
+
 def plan_documents(tmp_path, capsys, inst):
     """Decoupled and coupled plan documents of one instance."""
     path = write_instance(tmp_path, inst)

@@ -22,7 +22,6 @@ from discmotion import (
     is_trace_convex,
     min_separation,
     min_separation_sampled,
-    motion_length,
     placement_angle_profile,
     plan,
     reverse_motion,
@@ -68,13 +67,13 @@ def test_trajectory_rejects_gap():
 def test_motion_length_identical_placements():
     inst = make_instance(1.0, (0, 2), (0, 0), (0, 2), (0, 0))
     m = plan(inst).chosen
-    assert motion_length(m) == 0.0
+    assert m.length == 0.0
     assert len(m.schedule) == 0
 
 
 def test_motion_length_sums_both_trajectories(case1):
     m = plan(case1).chosen
-    assert motion_length(m) == pytest.approx(11.0, abs=1e-12)
+    assert m.length == pytest.approx(11.0, abs=1e-12)
 
 
 def test_sample_endpoints_exact(symmetric_crossing, blocked_ccw, case1):

@@ -1,5 +1,6 @@
 """Grid-search upper-bound oracle and the six-check certificate."""
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from discmotion import (
     Trajectory,
     certify,
     default_grid,
+    dist,
     min_separation,
     normalize,
     oracle,
@@ -35,6 +37,11 @@ def test_grid_spec_validation():
         GridSpec(step=-0.1, margin=1.0)
     with pytest.raises(ValueError):
         GridSpec(step=0.1, margin=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridSpec(step=bad, margin=1.0)
+        with pytest.raises(ValueError):
+            GridSpec(step=0.1, margin=bad)
 
 
 def test_default_grid_formula(case1, symmetric_crossing):
@@ -85,6 +92,12 @@ def test_oracle_deterministic(symmetric_crossing):
     assert a.order == b.order
 
 
+def mover_orders(n):
+    """(order, (src, dst, mid0, mid1)) of both mover orders."""
+    return (("ABA", (n.a0, n.a1, n.b0, n.b1)),
+            ("BAB", (n.b0, n.b1, n.a0, n.a1)))
+
+
 def brute_force_search(inst, grid):
     """The unpruned search: every lattice point of the box plus both
     endpoint seeds, for both mover orders; the same argmin, (x, y)
@@ -92,8 +105,7 @@ def brute_force_search(inst, grid):
     frame, n = normalize(inst)
     px, py = oracle._lattice(n, grid)
     best = {}
-    for order, (src, dst, mid0, mid1) in (("ABA", (n.a0, n.a1, n.b0, n.b1)),
-                                          ("BAB", (n.b0, n.b1, n.a0, n.a1))):
+    for order, (src, dst, mid0, mid1) in mover_orders(n):
         cx = np.concatenate([px, [src.x, dst.x]])
         cy = np.concatenate([py, [src.y, dst.y]])
         totals = oracle._order_totals(cx, cy, src, mid0, mid1, dst, n.s)
@@ -118,7 +130,18 @@ def half_integer_instance(rng):
     return make_instance(1.0, *placement(), *placement())
 
 
+def no_seed_instance(rng):
+    """A box-1.5 instance with |A0 - B1| < s and |A1 - B0| < s: no
+    endpoint seed is feasible in either mover order."""
+    while True:
+        inst = random_instance(rng, box=1.5)
+        if dist(inst.a0, inst.b1) < inst.s and dist(inst.a1, inst.b0) < inst.s:
+            return inst
+
+
 def prune_corpus(n_wide=6):
+    """Its last nine instances have no feasible seed, the swap instance
+    last of all."""
     rng = random.Random(4242)
     return ([random_instance(rng, box=10.0) for _ in range(6)][:n_wide]
             + [random_instance(rng, box=1.5) for _ in range(8)]
@@ -126,10 +149,10 @@ def prune_corpus(n_wide=6):
             # contact ties
             + [make_instance(1.0, (1.5, -0.5), (0, 0.5), (0.5, 1.5),
                              (1.5, 0.5)),
-               make_instance(1.0, (0, 0.5), (1, 1.5), (0, 1.5), (-1, 1)),
-               # |A0 - B1| < s and |A1 - B0| < s: no feasible seed in
-               # either order, so both search the full lattice
-               make_instance(1.0, (0, 0), (1.2, 0), (1.2, 0.3), (0, 0.3))])
+               make_instance(1.0, (0, 0.5), (1, 1.5), (0, 1.5), (-1, 1))]
+            + [no_seed_instance(rng) for _ in range(8)]
+            # the swap instance
+            + [make_instance(1.0, (0, 0), (1.2, 0), (1.2, 0.3), (0, 0.3))])
 
 
 # at step 0.025 the unpruned box-10 lattice has about a million points,
@@ -146,14 +169,47 @@ def test_pruned_search_matches_brute_force(step, n_wide):
 
 
 def test_swap_instance_has_no_feasible_seed():
+    # nor have the eight seeded instances before it
+    for inst in prune_corpus()[-9:]:
+        _, n = normalize(inst)
+        for _, (src, dst, mid0, mid1) in mover_orders(n):
+            seeds = oracle._order_totals(np.array([src.x, dst.x]),
+                                         np.array([src.y, dst.y]),
+                                         src, mid0, mid1, dst, n.s)
+            assert not np.isfinite(seeds).any(), inst
+
+
+def test_whole_box_branch_matches_brute_force():
+    # at this pitch the sub-lattice is B0 alone, infeasible in both orders,
+    # so both orders search the whole box
+    inst = prune_corpus()[-1]
+    grid = GridSpec(step=0.6, margin=2.0 * inst.s)
+    _, n = normalize(inst)
+    sx, sy = oracle._lattice(n, grid, stride=oracle._SUB_STRIDE)
+    for _, (src, dst, mid0, mid1) in mover_orders(n):
+        totals = oracle._order_totals(sx, sy, src, mid0, mid1, dst, n.s)
+        assert not np.isfinite(totals).any()
+    res = pivot_grid_search(inst, grid)
+    assert (res.best_length, res.best_pivot, res.order) \
+        == brute_force_search(inst, grid)
+
+
+def test_no_seed_search_evaluates_under_a_quarter_of_the_box(monkeypatch):
+    # the sub-lattice bound prunes the swap instance to about a tenth of
+    # the whole-box evaluations; the whole-box search is twice the lattice
     inst = prune_corpus()[-1]
     _, n = normalize(inst)
-    for src, dst, mid0, mid1 in ((n.a0, n.a1, n.b0, n.b1),
-                                 (n.b0, n.b1, n.a0, n.a1)):
-        seeds = oracle._order_totals(np.array([src.x, dst.x]),
-                                     np.array([src.y, dst.y]),
-                                     src, mid0, mid1, dst, n.s)
-        assert not np.isfinite(seeds).any()
+    box = oracle._lattice(n, default_grid(inst))[0].size
+    evaluated = []
+    order_totals = oracle._order_totals
+
+    def counting(px, py, *args):
+        evaluated.append(np.size(px))
+        return order_totals(px, py, *args)
+
+    monkeypatch.setattr(oracle, "_order_totals", counting)
+    pivot_grid_search(inst)
+    assert sum(evaluated) < 0.25 * 2 * box
 
 
 def test_certificate_all_checks_pass(symmetric_crossing):
