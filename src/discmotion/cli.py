@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from .errors import (ConstructionFailure, DiscMotionError,
                      OptimalityCheckFailure, OracleExhausted)
-from .geom import Instance, Placement, Point, dist
+from .geom import Instance, Placement, Point, dist, normalize
 from .motion import (Arc, JointItem, Motion, Phase, Segment, Trajectory,
                      _is_straight, couple, sample)
 from .oracle import GridSpec, certify, pivot_grid_search
@@ -407,6 +407,10 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.quad_tol) and args.quad_tol >= 0.0):
+        print(f"error: --quad-tol: must be nonnegative and finite, "
+              f"not {args.quad_tol}", file=sys.stderr)
+        return 1
     doc = _load_json(args.plan)
     if not isinstance(doc, dict) or "instance" not in doc:
         raise SchemaError("plan document missing 'instance'")
@@ -417,6 +421,7 @@ def cmd_verify(args) -> int:
     if args.grid_step is not None:
         try:
             grid = GridSpec(step=args.grid_step, margin=2.0 * inst.s)
+            grid.index_ranges(normalize(inst)[1])
         except ValueError as exc:
             print(f"error: --grid-step: {exc}", file=sys.stderr)
             return 1

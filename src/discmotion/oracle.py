@@ -48,6 +48,28 @@ class GridSpec:
             raise ValueError(f"grid margin must be nonnegative and finite, "
                              f"not {self.margin}")
 
+    def index_ranges(self, n: Instance):
+        """Index ranges (ix0, ix1, iy0, iy1) of the lattice over the search
+        box of a normalized instance, found before anything is allocated;
+        ValueError if the box holds more than _MAX_LATTICE_POINTS."""
+        pad, h = n.s + self.margin, self.step
+        xs = (n.a0.x, n.a1.x, n.b0.x, n.b1.x)
+        ys = (n.a0.y, n.a1.y, n.b0.y, n.b1.y)
+        ends = ((min(xs) - pad) / h, (max(xs) + pad) / h,
+                (min(ys) - pad) / h, (max(ys) + pad) / h)
+        if all(map(math.isfinite, ends)):
+            ix0, ix1 = math.ceil(ends[0]), math.floor(ends[1])
+            iy0, iy1 = math.ceil(ends[2]), math.floor(ends[3])
+            if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) <= _MAX_LATTICE_POINTS:
+                return ix0, ix1, iy0, iy1
+        raise ValueError(f"grid step {h} puts more than "
+                         f"{_MAX_LATTICE_POINTS} points in the search box")
+
+
+# 60 times a box-10 default lattice (at most about 270k points), twice the
+# largest default lattice (about 2,800 steps a side when s nears the diameter)
+_MAX_LATTICE_POINTS = 1 << 24
+
 
 def default_grid(inst: Instance) -> GridSpec:
     return GridSpec(step=max(0.05, inst.diameter / 400.0),
@@ -93,14 +115,9 @@ def _lattice(n: Instance, grid: GridSpec, ellipse=None, stride: int = 1):
     stride, only the box points whose two integer indices are multiples
     of it; their coordinates are computed as the full lattice's, so each
     is bit-for-bit one of its points."""
-    s, h = n.s, grid.step
-    pad = s + grid.margin
-    xs_all = [n.a0.x, n.a1.x, n.b0.x, n.b1.x]
-    ys_all = [n.a0.y, n.a1.y, n.b0.y, n.b1.y]
-    xmin, xmax = min(xs_all) - pad, max(xs_all) + pad
-    ymin, ymax = min(ys_all) - pad, max(ys_all) + pad
-    ix = np.arange(math.ceil(xmin / h), math.floor(xmax / h) + 1)
-    iy = np.arange(math.ceil(ymin / h), math.floor(ymax / h) + 1)
+    h = grid.step
+    ix0, ix1, iy0, iy1 = grid.index_ranges(n)
+    ix, iy = np.arange(ix0, ix1 + 1), np.arange(iy0, iy1 + 1)
     ix, iy = ix[ix % stride == 0], iy[iy % stride == 0]
     if ix.size == 0 or iy.size == 0:
         return np.empty(0), np.empty(0)

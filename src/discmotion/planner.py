@@ -632,8 +632,10 @@ def plan(inst: Instance) -> PlanReport:
     zone = None
     pts: dict = {}
     ccw_n = cw_n = None
-    if case in ("Case1a", "Case1b"):
-        chosen_n = _case1_motion(n, b_first=(case == "Case1a"))
+    straight = case in ("Case1a", "Case1b")
+    if straight:
+        # in the caller's frame: the segments join the input placements
+        chosen_n = _case1_motion(inst, b_first=(case == "Case1a"))
     else:
         zone_ccw = zone_cw = None
         pts_ccw: dict = {}
@@ -677,7 +679,7 @@ def plan(inst: Instance) -> PlanReport:
             f"chosen length {chosen_n.length} does not certify against "
             f"{bound.min}")
 
-    chosen = transform_motion(chosen_n, frame)
+    chosen = chosen_n if straight else transform_motion(chosen_n, frame)
     trace = ConstructionTrace(
         points=tuple((k, frame.apply(v)) for k, v in pts.items()),
         spans=_arc_spans(chosen))

@@ -5,13 +5,13 @@ The key quantity is the paired support value at angle theta: the support of
 segment A0A1 in direction theta plus the support of segment B0B1 in the
 opposite direction.  Integrating max(pair, s) over the swept interval and
 the raw pair elsewhere, then subtracting both chord lengths, gives the
-length bound for one orientation.
-
-The closed form integrates, piece by piece, the sinusoid of the endpoint
-pair that attains both supports (`_active_pair`).  The quadrature twin
-never uses that pair: it evaluates `pair_support` from the segment
-endpoints at every node and finds its own kinks, so a wrong active pair
-moves the closed form and not the twin.
+length bound for one orientation.  By Cauchy's formula the pair support
+integrates to twice the chords over a full turn, so the closed form is the
+chords plus the lift, (s - pair)+ integrated over the swept interval from
+the sinusoid of the endpoint pair attaining both supports (`_active_pair`).
+The quadrature twin integrates the full turn, so it also checks that step,
+and never uses the active pair: it evaluates `pair_support` at every node
+and finds its own kinks, so a wrong pair moves the closed form, not it.
 """
 
 from __future__ import annotations
@@ -103,10 +103,15 @@ def swept_interval(inst: Instance) -> AngleInterval:
     """Ccw interval from the start placement angle to the goal's; angles
     that agree within the roundoff of the coordinates give the degenerate
     interval, never a full turn."""
-    start, end = placement_angle(inst.p0), placement_angle(inst.p1)
-    scale = max(abs(c) for p in (inst.a0, inst.b0, inst.a1, inst.b1)
-                for c in p)
-    tol = 1e-13 * (1.0 + scale / inst.s)
+    return _sweep(inst.a0, inst.b0, inst.a1, inst.b1, inst.s)
+
+
+def _sweep(a0: Point, b0: Point, a1: Point, b1: Point,
+           s: float) -> AngleInterval:
+    start = placement_angle(Placement(a0, b0))
+    end = placement_angle(Placement(a1, b1))
+    scale = max(map(abs, (*a0, *b0, *a1, *b1)))
+    tol = 1e-13 * (1.0 + scale / s)
     if min((end - start) % TWO_PI, (start - end) % TWO_PI) <= tol:
         return AngleInterval(start, start)
     return AngleInterval(start, end)
@@ -178,35 +183,28 @@ def _floor_cuts(lo: float, hi: float, rel: Point, s: float):
     return cuts
 
 
-def _piece_angles(ev: SupportEvaluator, s: float, interval: AngleInterval):
-    """Integration pieces: breakpoints plus crossings pair_support = s."""
-    pieces = []
-    for lo, hi in _arcs(ev, interval):
-        mid = 0.5 * (lo + hi)
-        a, b = _active_pair(ev, mid)
-        inside = interval.contains(mid % TWO_PI)
-        cuts = _floor_cuts(lo, hi, a - b, s) if inside else [lo, hi]
-        pieces += [(c0, c1, a, b, inside) for c0, c1 in zip(cuts, cuts[1:])]
-    return pieces
-
-
 def closed_form_bound(ev: SupportEvaluator, s: float,
                       interval: AngleInterval) -> float:
-    """Exact value of the orientation integral minus both chord lengths."""
-    total = 0.0
-    for lo, hi, a, b, inside in _piece_angles(ev, s, interval):
+    """Exact length bound of one orientation: the two chord lengths plus
+    the lift, the integral of (s - pair)+ over the interval, added on each
+    arc inside it wherever the active pair's sinusoid is below s."""
+    total = dist(ev.a0, ev.a1) + dist(ev.b0, ev.b1)
+    if interval.measure() == 0.0:
+        return total
+    for lo, hi in _arcs(ev, interval):
+        mid = 0.5 * (lo + hi)
+        if not interval.contains(mid % TWO_PI):
+            continue
+        a, b = _active_pair(ev, mid)
         rel = a - b
         r = math.hypot(rel.x, rel.y)
-        if inside:
-            mid = 0.5 * (lo + hi)
-            h_mid = r * math.cos(mid - angle_of(rel)) if r > 0.0 else 0.0
-            if h_mid < s:
-                total += s * (hi - lo)
-                continue
-        if r > 0.0:
-            phi = angle_of(rel)
-            total += r * (math.sin(hi - phi) - math.sin(lo - phi))
-    return total - dist(ev.a0, ev.a1) - dist(ev.b0, ev.b1)
+        phi = angle_of(rel) if r > 0.0 else 0.0
+        cuts = _floor_cuts(lo, hi, rel, s)
+        for c0, c1 in zip(cuts, cuts[1:]):
+            if r * math.cos(0.5 * (c0 + c1) - phi) < s:
+                total += s * (c1 - c0) - r * (math.sin(c1 - phi)
+                                              - math.sin(c0 - phi))
+    return total
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -252,10 +250,14 @@ def evaluator_for(inst: Instance) -> SupportEvaluator:
 
 def optimal_length_bound(inst: Instance) -> LengthBound:
     """Minimum motion length per sweep orientation, from the support
-    integral."""
-    ev = evaluator_for(inst)
-    fwd = swept_interval(inst)
-    ccw = closed_form_bound(ev, inst.s, fwd)
-    cw = closed_form_bound(ev, inst.s, fwd.reversed_sweep())
+    integral.  The clockwise bound is the counter-clockwise bound of the
+    instance mirrored by y -> -y, built from the mirrored points directly;
+    an instance symmetric about the x-axis thus ties exactly."""
+    s = inst.s
+    ccw = closed_form_bound(evaluator_for(inst), s, swept_interval(inst))
+    a0, b0, a1, b1 = (Point(p.x, 0.0 - p.y)
+                      for p in (inst.a0, inst.b0, inst.a1, inst.b1))
+    cw = closed_form_bound(SupportEvaluator(a0, a1, b0, b1), s,
+                           _sweep(a0, b0, a1, b1, s))
     chosen = "ccw" if ccw <= cw else "cw"
     return LengthBound(ccw=ccw, cw=cw, chosen=chosen)

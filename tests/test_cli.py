@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from discmotion.cli import _emit_json, main
+from discmotion import GridSpec, normalize, oracle
+from discmotion.cli import _emit_json, main, parse_instance
 
 CASE1 = {"s": 1.0, "A0": [5.0, 5.0], "B0": [0.0, 0.0],
          "A1": [6.0, 5.0], "B1": [10.0, 0.0]}
@@ -45,6 +46,24 @@ def test_plan_to_stdout(tmp_path, capsys):
     kinds = [p["kind"] for p in doc["trajectories"]["A"]]
     assert kinds == ["segment"]
     assert doc["schedule"][0]["robot"] == "B"
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_plan_straight_segments_are_the_input_coordinates(tmp_path, capsys,
+                                                         offset):
+    inst = {"s": 0.7, "A0": [0.1 + offset, 0.3 - offset],
+            "B0": [-1.37 + offset, 2.9 - offset],
+            "A1": [3.3 + offset, 0.7 - offset],
+            "B1": [-2.2 + offset, 5.1 - offset]}
+    code, out, _ = run(["plan", write_instance(tmp_path, inst)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["case"] in ("Case1a", "Case1b")
+    for robot in ("A", "B"):
+        (seg,) = doc["trajectories"][robot]
+        assert seg["kind"] == "segment"
+        assert (seg["from"], seg["to"]) == (inst[robot + "0"],
+                                            inst[robot + "1"])
 
 
 def test_plan_file_round_trip_is_bit_identical(tmp_path, capsys):
@@ -220,6 +239,52 @@ def test_verify_rejects_bad_grid_step(tmp_path, capsys, step):
     code, out, err = run(["verify", plan_path, "--grid-step", step], capsys)
     assert code == 1
     assert err.startswith("error: --grid-step:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_quad_tol(tmp_path, capsys, tol):
+    plan_path = planned_document(tmp_path, capsys, BLOCKED_CCW)
+    code, out, err = run(["verify", plan_path, "--quad-tol", tol], capsys)
+    assert code == 1
+    assert err.startswith("error: --quad-tol:")
+    assert out == ""
+
+
+def _step_past_the_lattice_cap(inst) -> float:
+    """A pitch whose search box holds just more points than the cap,
+    found by bisection on the index ranges alone."""
+    _, n = normalize(inst)
+    too_fine, fine = 1e-6, 1.0
+    for _ in range(60):
+        mid = 0.5 * (too_fine + fine)
+        try:
+            GridSpec(step=mid, margin=2.0 * inst.s).index_ranges(n)
+            fine = mid
+        except ValueError:
+            too_fine = mid
+    ix0, ix1, iy0, iy1 = GridSpec(step=fine,
+                                  margin=2.0 * inst.s).index_ranges(n)
+    points = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
+    assert points > 0.99 * oracle._MAX_LATTICE_POINTS
+    return too_fine
+
+
+@pytest.mark.parametrize("step", ["1e-300", "past the cap"])
+def test_verify_rejects_a_lattice_above_the_cap(tmp_path, capsys,
+                                                monkeypatch, step):
+    plan_path = planned_document(tmp_path, capsys, BLOCKED_CCW)
+    if step == "past the cap":
+        step = repr(_step_past_the_lattice_cap(parse_instance(BLOCKED_CCW)))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the lattice was allocated")
+
+    monkeypatch.setattr(oracle.np, "arange", no_allocation)
+    code, out, err = run(["verify", plan_path, "--grid-step", step], capsys)
+    assert code == 1
+    assert err.startswith("error: --grid-step:")
+    assert "points in the search box" in err
     assert out == ""
 
 

@@ -51,6 +51,37 @@ def test_default_grid_formula(case1, symmetric_crossing):
         assert g.margin == 2.0 * inst.s
 
 
+def box_points(inst, grid) -> int:
+    ix0, ix1, iy0, iy1 = grid.index_ranges(normalize(inst)[1])
+    return (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
+
+
+def test_lattice_cap_is_well_above_the_lattices_in_use():
+    cap = oracle._MAX_LATTICE_POINTS
+    wide = prune_corpus()[:6]
+    # the largest default lattice: s close to the diameter, step d / 400
+    big_s = make_instance(20.0, (0, 0), (20, 0), (20, 0), (0, 0))
+    assert big_s.diameter / 400.0 == 0.05
+    assert max(box_points(i, default_grid(i)) for i in wide) < cap / 50
+    assert box_points(big_s, default_grid(big_s)) < cap / 2
+    fine = [box_points(i, GridSpec(step=0.025, margin=2.0 * i.s))
+            for i in wide]
+    assert max(fine) < cap / 10
+
+
+def test_lattice_above_the_cap_is_rejected_before_allocation(monkeypatch):
+    inst = prune_corpus()[0]
+    _, n = normalize(inst)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the lattice was allocated")
+
+    monkeypatch.setattr(oracle.np, "arange", no_allocation)
+    for step in (1e-300, 5e-324, 1e-3):
+        with pytest.raises(ValueError, match="points in the search box"):
+            pivot_grid_search(inst, GridSpec(step=step, margin=2.0 * n.s))
+
+
 def test_oracle_matches_straight_plan_exactly(case1):
     res = pivot_grid_search(case1)
     assert res.best_length == 11.0

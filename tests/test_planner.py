@@ -1,6 +1,7 @@
 """Case machine, zone machine, pivots, path legs, and the full planner."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from discmotion import (
     shortest_path_avoiding_disc,
     swept_interval,
 )
+from discmotion.cli import random_instance
 from conftest import instances, make_instance
 
 # fixtures exercised across several tests; expected numbers were computed
@@ -260,6 +262,30 @@ def test_plan_straight_b_first(case1):
     assert r.lengths == (None, None, 11.0)
     assert [p.robot for p in r.chosen.schedule] == ["B", "A"]
     check_report(case1, r)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e6, -1e6)])
+def test_plan_straight_segments_join_the_input_placements(offset):
+    """Straight plans are built in the caller's frame, so each segment
+    runs from an input placement to the other bit for bit."""
+    rng = random.Random("straight-endpoints")
+    straight = 0
+    for _ in range(200):
+        base = random_instance(rng, box=1.5)
+        move = lambda p: Point(p.x + offset[0], p.y + offset[1])
+        inst = Instance(base.s, Placement(move(base.a0), move(base.b0)),
+                        Placement(move(base.a1), move(base.b1)))
+        r = plan(inst)
+        if r.case not in ("Case1a", "Case1b"):
+            continue
+        straight += 1
+        assert (r.chosen.start, r.chosen.end) == (inst.p0, inst.p1)
+        for traj, p0, p1 in ((r.chosen.traj_a, inst.a0, inst.a1),
+                             (r.chosen.traj_b, inst.b0, inst.b1)):
+            if p0 != p1:
+                (seg,) = traj.primitives
+                assert (seg.start, seg.end) == (p0, p1)
+    assert straight >= 50
 
 
 def test_plan_straight_a_first_when_start_blocks_corridor():

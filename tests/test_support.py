@@ -1,10 +1,11 @@
 """Support functions, swept intervals, and the two length-bound evaluators."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from discmotion import (
@@ -15,7 +16,9 @@ from discmotion import (
     Point,
     SupportEvaluator,
     UndefinedAngle,
+    classify_case,
     closed_form_bound,
+    dist,
     evaluator_for,
     pair_support,
     integrand,
@@ -26,6 +29,7 @@ from discmotion import (
     support,
     swept_interval,
 )
+from discmotion.cli import random_instance
 from conftest import coords, instances, make_instance
 
 TWO_PI = 2 * math.pi
@@ -281,3 +285,47 @@ def test_bound_scaling_equivariance(inst, lam):
     scale = max(1.0, lam * b0.min)
     assert abs(lam * b0.ccw - b1.ccw) <= 1e-9 * scale
     assert abs(lam * b0.cw - b1.cw) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("box", [10.0, 1.5])
+def test_straight_case_bound_is_the_chords_exactly(box):
+    """Where both robots can go straight, no orientation must detour: the
+    lift is exactly zero and the bound is the two chords bit for bit."""
+    rng = random.Random(f"chords-{box}")
+    straight = 0
+    for _ in range(300):
+        inst = random_instance(rng, box=box)
+        if classify_case(inst) not in ("Case1a", "Case1b"):
+            continue
+        straight += 1
+        chords = dist(inst.a0, inst.a1) + dist(inst.b0, inst.b1)
+        assert optimal_length_bound(inst).min == chords
+    assert straight >= 100
+
+
+def mirrored(inst: Instance) -> Instance:
+    """The instance reflected in the x-axis, y -> 0.0 - y."""
+    m = lambda p: Point(p.x, 0.0 - p.y)
+    return Instance(inst.s, Placement(m(inst.a0), m(inst.b0)),
+                    Placement(m(inst.a1), m(inst.b1)))
+
+
+@given(instances())
+def test_clockwise_bound_is_the_mirror_counter_clockwise_bound(inst):
+    b, m = optimal_length_bound(inst), optimal_length_bound(mirrored(inst))
+    assert b.cw == m.ccw
+    assert b.ccw == m.cw
+
+
+x_axis = st.floats(-10.0, 10.0)
+
+
+@given(x_axis, x_axis, x_axis, x_axis, st.sampled_from([0.0, -0.0]))
+def test_x_axis_symmetric_instance_ties_to_ccw(ax0, bx0, ax1, bx1, y):
+    """An instance that is its own mirror image sweeps either way at the
+    same cost: the two bounds tie exactly and the tie goes ccw."""
+    assume(abs(ax0 - bx0) >= 1.0 and abs(ax1 - bx1) >= 1.0)
+    inst = make_instance(1.0, (ax0, y), (bx0, y), (ax1, y), (bx1, y))
+    b = optimal_length_bound(inst)
+    assert b.ccw == b.cw
+    assert b.chosen == "ccw"
